@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Union
 import pytest
 
 from repro.core.figures import (
+    cluster_rebalance_tail,
     fig2_end_to_end,
     fig3_index_occupancy,
     fig4_value_size_concurrency,
@@ -366,4 +367,29 @@ register_figure(
         blocks_per_plane=8,
     ),
     _fig_replay_mix_metrics,
+)
+
+
+def _cluster_rebalance_tail_metrics(result: Any) -> Dict[str, Metric]:
+    metrics: Dict[str, Metric] = {}
+    for phase, cell in result.phases.items():
+        for stat in ("count", "mean", "p99", "p999"):
+            metrics[f"{phase}.{stat}"] = cell[stat]
+    metrics["drain_ops"] = result.drain_ops
+    metrics["verify_checked"] = result.verify_checked
+    metrics["router_share"] = result.router_share
+    metrics["trace_spans"] = result.trace_spans
+    for name, value in result.stats_summary.items():
+        metrics[f"stats.{name}"] = value
+    return metrics
+
+
+register_figure(
+    "cluster_rebalance_tail",
+    # Four shards, one degraded mid-run: the window is short enough that
+    # all four phases (pre, rebalance, post, drain) record latency.
+    lambda: cluster_rebalance_tail(
+        n_ops=200, population=400, rebalance_window_ops=100
+    ),
+    _cluster_rebalance_tail_metrics,
 )
