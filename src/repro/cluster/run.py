@@ -72,10 +72,6 @@ class ClusterResult:
         return sum(shard.failed_ops for shard in self.shards)
 
     @property
-    def shed_ops(self) -> int:
-        return sum(shard.shed_ops for shard in self.shards)
-
-    @property
     def verify_missing(self) -> int:
         return sum(shard.verify_missing for shard in self.shards)
 

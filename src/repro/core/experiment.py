@@ -29,12 +29,7 @@ from repro.flash.timing import FlashTiming
 from repro.hostkv.fs.ext4 import SimFileSystem
 from repro.hostkv.hashkv.store import HashKVConfig, HashKVStore
 from repro.hostkv.lsm.store import LSMConfig, LSMStore
-from repro.kvbench.runner import (
-    BlockAdapter,
-    HashKVAdapter,
-    KVSSDAdapter,
-    LSMAdapter,
-)
+from repro.kvbench.runner import BlockAdapter, HostStoreAdapter, KVSSDAdapter
 from repro.kvftl.config import KVSSDConfig
 from repro.kvftl.device import KVSSD
 from repro.metrics.cpu import CpuAccountant
@@ -98,7 +93,7 @@ class LSMRig:
     api: BlockDeviceAPI
     fs: SimFileSystem
     store: LSMStore
-    adapter: LSMAdapter
+    adapter: HostStoreAdapter
 
 
 @dataclass
@@ -111,7 +106,7 @@ class HashRig:
     device: BlockSSD
     api: BlockDeviceAPI
     store: HashKVStore
-    adapter: HashKVAdapter
+    adapter: HostStoreAdapter
 
 
 def build_kv_rig(
@@ -183,7 +178,7 @@ def build_lsm_rig(
     api = BlockDeviceAPI(env, device, driver)
     fs = SimFileSystem(env, api)
     store = LSMStore(env, fs, lsm_config)
-    return LSMRig(env, cpu, driver, device, api, fs, store, LSMAdapter(store))
+    return LSMRig(env, cpu, driver, device, api, fs, store, HostStoreAdapter(store, device))
 
 
 def build_hash_rig(
@@ -208,4 +203,4 @@ def build_hash_rig(
     driver = KernelDeviceDriver(env, cpu, tracer=device.tracer)
     api = BlockDeviceAPI(env, device, driver)
     store = HashKVStore(env, api, hash_config)
-    return HashRig(env, cpu, driver, device, api, store, HashKVAdapter(store))
+    return HashRig(env, cpu, driver, device, api, store, HostStoreAdapter(store, device))

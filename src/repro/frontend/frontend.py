@@ -468,7 +468,7 @@ def run_frontend(
     pairs; the measured phase starts at a fresh time origin.
     """
     from repro.core.experiment import build_block_rig, build_kv_rig, lab_geometry
-    from repro.kvbench.runner import BlockAdapter, execute_workload
+    from repro.kvbench.runner import execute_workload
 
     geometry = lab_geometry(spec.blocks_per_plane)
     max_value = max(tenant.value_bytes for tenant in spec.tenants)
@@ -479,7 +479,7 @@ def run_frontend(
     else:
         block_rig = build_block_rig(geometry, tracer=tracer)
         env = block_rig.env
-        adapter = BlockAdapter(block_rig.api, max_value)
+        adapter = block_rig.adapter(max_value)
     for tenant in spec.tenants:
         prime = WorkloadSpec(
             n_ops=tenant.population,

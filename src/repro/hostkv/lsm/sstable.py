@@ -27,6 +27,8 @@ SST_ENTRY_OVERHEAD = 16
 #: Filter plus index block bytes per entry (approximate).
 SST_METADATA_PER_ENTRY = 12
 
+#: Ids for tables built outside a store.  Each LSMStore numbers its own
+#: from 0: ids name the files, and the names salt its Bloom false positives.
 _sst_ids = itertools.count()
 
 

@@ -10,9 +10,8 @@ from repro.kvbench.distributions import (
 from repro.kvbench.report import format_series, format_table, sparkline
 from repro.kvbench.runner import (
     BlockAdapter,
-    HashKVAdapter,
+    HostStoreAdapter,
     KVSSDAdapter,
-    LSMAdapter,
     RunResult,
     drive_workload,
     execute_workload,
@@ -33,9 +32,8 @@ from repro.kvbench.ycsb import (
 
 __all__ = [
     "BlockAdapter",
-    "HashKVAdapter",
+    "HostStoreAdapter",
     "KVSSDAdapter",
-    "LSMAdapter",
     "Operation",
     "OpType",
     "Pattern",

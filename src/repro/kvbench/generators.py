@@ -108,7 +108,9 @@ class ExpirySpec:
     Each write (re)arms the key's TTL.  When a key's newest TTL lapses,
     a ``delete`` record is emitted at the expiry timestamp; a rewrite
     before expiry supersedes the pending delete (generation counter).
-    Reads only ever target live keys, so replay never read-misses.
+    Reads only ever target live keys, so an in-order (QD1) replay never
+    read-misses.  Above QD1 a read and the expiry delete of its key can be
+    in flight together, and the read misses if the delete lands first.
     """
 
     n_ops: int

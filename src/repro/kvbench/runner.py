@@ -10,8 +10,7 @@ Adapters translate :class:`~repro.kvbench.workload.Operation` items to
 each stack's API:
 
 * :class:`KVSSDAdapter` — SNIA KVS API on the KV device;
-* :class:`LSMAdapter` — the RocksDB stand-in;
-* :class:`HashKVAdapter` — the Aerospike stand-in;
+* :class:`HostStoreAdapter` — the RocksDB and Aerospike stand-ins;
 * :class:`BlockAdapter` — raw block I/O with the same sizes and order
   (the paper's direct-I/O baseline: key index -> device offset).
 """
@@ -19,10 +18,11 @@ each stack's API:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Iterator, Optional
+from typing import Generator, Iterable, Iterator, Optional, Union
 
 from repro.api.block import BlockDeviceAPI
 from repro.api.kvs import KVStoreAPI
+from repro.blockftl.device import BlockSSD
 from repro.errors import DeviceError, WorkloadError
 from repro.ftl.core import DeviceStats
 from repro.hostkv.hashkv.store import HashKVStore
@@ -55,34 +55,17 @@ class KVSSDAdapter:
         raise WorkloadError(f"unsupported op {op.op}")
 
 
-class LSMAdapter:
-    """Run operations through the LSM store."""
+class HostStoreAdapter:
+    """Run operations through a host-side store (LSM or hash index).
 
-    def __init__(self, store: LSMStore) -> None:
-        self.store = store
-        #: The block device under the file system, for DeviceStats capture.
-        self.device = store.fs.block_api.device
+    Both host stores expose the same ``put``/``get``/``delete``
+    generators, so one adapter serves the RocksDB and Aerospike stand-ins.
+    """
 
-    def execute(self, op: Operation) -> Generator[Event, None, int]:
-        if op.op in (OpType.INSERT, OpType.UPDATE):
-            yield from self.store.put(op.key, op.value_bytes)
-            return len(op.key) + op.value_bytes
-        if op.op is OpType.READ:
-            value = yield from self.store.get(op.key)
-            return value
-        if op.op is OpType.DELETE:
-            yield from self.store.delete(op.key)
-            return len(op.key)
-        raise WorkloadError(f"unsupported op {op.op}")
-
-
-class HashKVAdapter:
-    """Run operations through the hash-index store."""
-
-    def __init__(self, store: HashKVStore) -> None:
+    def __init__(self, store: Union[LSMStore, HashKVStore], device: BlockSSD) -> None:
         self.store = store
         #: The block device under the store, for DeviceStats capture.
-        self.device = store.block_api.device
+        self.device = device
 
     def execute(self, op: Operation) -> Generator[Event, None, int]:
         if op.op in (OpType.INSERT, OpType.UPDATE):
@@ -172,7 +155,8 @@ def drive_workload(
 ) -> Generator[Event, None, RunResult]:
     """Generator process executing ``operations`` at ``queue_depth``.
 
-    Latencies are recorded per op type; completions feed a windowed
+    Latencies are recorded under each operation's ``label`` (its op type
+    for generated workloads); completions feed a windowed
     bandwidth tracker.  Failed operations (device errors, absent keys)
     are counted, not raised — a benchmark keeps going like fio does.
     ``stop_after_us`` bounds the measured phase in simulated time: once
@@ -202,7 +186,7 @@ def drive_workload(
             except DeviceError:
                 result.failed_ops += 1
                 continue
-            result.latency.record(env.now - started, op.op.value)
+            result.latency.record(env.now - started, op.label)
             result.bandwidth.record(env.now, nbytes or 0)
             result.completed_ops += 1
 

@@ -52,6 +52,11 @@ class Operation:
     key_index: int
     value_bytes: int
 
+    @property
+    def label(self) -> str:
+        """Latency bucket the runner records this operation under."""
+        return self.op.value
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.errors import WorkloadError
+from repro.errors import DeviceError, WorkloadError
 from repro.kvbench.distributions import ZipfianGenerator
 from repro.kvbench.workload import Operation, OpType
 from repro.kvftl.population import KeyScheme
@@ -110,6 +110,10 @@ class YCSBOperation:
     @property
     def value_bytes(self) -> int:
         return self.base.value_bytes
+
+    @property
+    def label(self) -> str:
+        return self.base.label
 
 
 def generate_ycsb(spec: YCSBSpec) -> Iterator[YCSBOperation]:
@@ -239,7 +243,7 @@ class YCSBDriver:
                 )
                 try:
                     nbytes = yield env.process(self.adapter.execute(point))
-                except Exception:  # missing tail keys end the scan
+                except DeviceError:  # missing tail keys end the scan
                     break
                 total += nbytes or 0
             return total

@@ -203,3 +203,41 @@ def test_host_cpu_charged_heavily_vs_raw_device():
     per_op = cpu.total_busy_us / 300
     # The thick-stack cost the paper's RQ1 is about: tens of us per op.
     assert per_op > 20.0
+
+
+def _prime_update_read(seed):
+    """Prime, update and read on a fresh LSM rig; everything observable."""
+    from repro.core.experiment import build_lsm_rig, lab_geometry
+    from repro.kvbench.runner import execute_workload
+    from repro.kvbench.workload import Pattern, WorkloadSpec, generate_operations
+    from repro.kvftl.population import KeyScheme
+
+    rig = build_lsm_rig(lab_geometry(), lsm_config=LSMConfig(
+        memtable_bytes=256 * KIB, level_base_bytes=1 * MIB,
+        sst_target_bytes=256 * KIB,
+    ))
+    pairs = 2000
+    scheme = KeyScheme()
+    rig.store.prime_fill({scheme.key_for(i): 4096 for i in range(pairs)}, level=3)
+    runs = []
+    for stream, op in enumerate(("update", "read")):
+        spec = WorkloadSpec(n_ops=1500, op=op, pattern=Pattern.UNIFORM,
+                            population=pairs, key_scheme=scheme,
+                            value_bytes=4096, seed=seed + stream)
+        result = execute_workload(
+            rig.env, rig.adapter, generate_operations(spec), 16
+        )
+        runs.append((result.completed_ops, result.failed_ops,
+                     result.latency.samples()))
+    return (rig.env.now, rig.store.cache.hits, rig.store.cache.misses,
+            [table.name for level in rig.store.levels for table in level],
+            runs)
+
+
+def test_identical_rigs_in_one_process_simulate_identically():
+    """SSTable ids (and the Bloom false-positive draws salted with the
+    table names) are numbered per store, so a store built after another
+    one in the same process simulates exactly the same run."""
+    first = _prime_update_read(seed=3)
+    second = _prime_update_read(seed=3)
+    assert first == second

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.experiment import build_kv_rig, build_lsm_rig, lab_geometry
-from repro.errors import WorkloadError
+from repro.errors import InvariantViolation, WorkloadError
 from repro.kvbench.runner import execute_workload
-from repro.kvbench.workload import OpType
-from repro.kvbench.ycsb import YCSBDriver, YCSBSpec, generate_ycsb
+from repro.kvbench.workload import Operation, OpType
+from repro.kvbench.ycsb import YCSBDriver, YCSBOperation, YCSBSpec, generate_ycsb
 from repro.kvftl.population import KeyScheme
 
 
@@ -153,3 +153,48 @@ def test_lsm_scan_returns_live_ordered_bytes():
 
     nbytes = rig.env.run_until_complete(rig.env.process(session(rig.env)))
     assert nbytes == 20 * 1000
+
+
+def _scan_op(spec, start):
+    key = spec.key_scheme.key_for(start)
+    return YCSBOperation(Operation(OpType.READ, key, start, 0),
+                         scan_length=spec.scan_length)
+
+
+def test_emulated_scan_ends_at_first_missing_key():
+    spec = spec_for("E", population=100, scan_length=10)
+    rig = build_kv_rig(lab_geometry(8))
+    rig.device.fast_fill(60, spec.value_bytes, spec.key_scheme)
+    driver = YCSBDriver(rig.adapter, spec)
+    result = execute_workload(rig.env, driver, [_scan_op(spec, 55)])
+    assert result.completed_ops == 1 and result.failed_ops == 0
+    # Keys 55..59 exist; the KeyNotFoundError at 60 ends the scan there.
+    assert result.bandwidth.total_bytes == 5 * spec.value_bytes
+
+
+class _Tripwire:
+    """KV adapter whose ``fail_at``-th operation raises a non-device error."""
+
+    def __init__(self, inner, fail_at):
+        self.inner = inner
+        self.api = inner.api
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def execute(self, op):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            yield self.api.env.timeout(1.0)
+            raise InvariantViolation("tripwire")
+        return (yield from self.inner.execute(op))
+
+
+def test_emulated_scan_propagates_non_device_errors():
+    spec = spec_for("E", population=100, scan_length=10)
+    rig = build_kv_rig(lab_geometry(8))
+    rig.device.fast_fill(spec.population, spec.value_bytes, spec.key_scheme)
+    tripwire = _Tripwire(rig.adapter, fail_at=3)
+    driver = YCSBDriver(tripwire, spec)
+    with pytest.raises(InvariantViolation, match="tripwire"):
+        execute_workload(rig.env, driver, [_scan_op(spec, 10)])
+    assert tripwire.calls == 3
