@@ -28,8 +28,8 @@ tuned to the two populations of events an SSD model produces:
   the *current* time.  Because the clock never advances while an unfired
   immediate event exists, these are already in fire order (their sequence
   numbers increase monotonically) and live in a plain FIFO deque — no
-  heap operations, no tuple packing.  The majority of all events take
-  this path.
+  heap operations, no tuple packing.  Contended resource grants, process
+  completions and signal wakeups take this path.
 * **Future events** — timeouts with a strictly positive delay are placed
   in calendar buckets of :attr:`Environment.bucket_us` width (default
   sized to the NAND timing quanta: transfers are a few us, tR ~60 us,
@@ -42,6 +42,16 @@ The fire order is exactly the total order ``(fire_time, sequence)`` the
 previous single-heap implementation used, so the refactor is observably
 identical: same event interleaving, same timestamps, same figures to the
 byte.
+
+In-place service
+----------------
+:meth:`Environment._idle_through` tells a process when an event it would
+queue for time ``t`` is certain to be the very next pop;
+:meth:`repro.sim.resources.Resource.serve` then grants a free slot and
+waits out its service time in place.  Skipping such an event drops one
+sequence number and leaves the ``(time, sequence)`` order of all others
+unchanged, but it is no pop: :attr:`Environment.processed_events` and the
+pop observer see fewer events.
 
 Example
 -------
@@ -57,6 +67,7 @@ Example
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import (
@@ -78,6 +89,10 @@ ProcessGenerator = Generator["Event", Any, Any]
 
 #: Entry in the calendar's future-event buckets.
 _QueueEntry = Tuple[float, int, "Event"]
+
+_INF = float("inf")
+#: Bound of a run without an end time: the largest finite clock value.
+_FAR_FUTURE = sys.float_info.max
 
 #: Event-pop observer installed by the nondeterminism sanitizer
 #: (:mod:`repro.lint.sanitizer`): called as ``observer(now, event)`` for
@@ -185,8 +200,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"timeout delay must be finite and >= 0, got {delay}")
         # Flattened Event.__init__: a timeout is born triggered and goes
         # straight into the queue, so the generic succeed() path (and its
         # already-triggered check) never applies.
@@ -358,6 +373,10 @@ class Environment:
         #: Far calendar buckets: unsorted appends, sorted on activation.
         self._far: Dict[int, List[_QueueEntry]] = {}
         self._far_keys: List[int] = []
+        #: End time of the current run; nothing may advance the clock past it.
+        self._until = -_INF
+        #: Whether the event being processed has more than one callback.
+        self._shared = False
 
     @property
     def now(self) -> float:
@@ -442,6 +461,24 @@ class Environment:
         self._near_key = key
         return True
 
+    def _idle_through(self, t: float) -> bool:
+        """Whether an event queued now for time ``t`` would be the next pop.
+
+        True when ``now <= t <= until`` of the current run, nothing is
+        immediate, the event being processed has no other callbacks, and
+        every queued entry fires after ``t`` (one at ``t`` has the lower
+        sequence number, so it would fire first).
+        """
+        if self._immediate or self._shared or not self._now <= t <= self._until:
+            return False
+        near = self._near
+        if near:
+            return near[0][0] > t
+        # Far entries sit in buckets keyed by floor(fire_at / width); the
+        # floor is monotone, so a larger key means a later fire time.
+        far_keys = self._far_keys
+        return not far_keys or far_keys[0] > int(t * self._bucket_inv)
+
     def _peek_time(self) -> Optional[float]:
         """Fire time of the next event, or ``None`` when the queue is empty."""
         if self._immediate:
@@ -476,6 +513,7 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, []
         event._processed = True
         self._processed_events += 1
+        self._shared = len(callbacks) > 1
         for callback in callbacks:
             callback(event)
 
@@ -493,6 +531,7 @@ class Environment:
             raise SimulationError(
                 f"cannot run until {until}; clock is already at {self._now}"
             )
+        self._until = _FAR_FUTURE if until is None else until
         step = self._step
         peek = self._peek_time
         while True:
@@ -511,6 +550,9 @@ class Environment:
         ``limit`` bounds the simulated time as a safety net against model
         deadlocks; exceeding it raises :class:`SimulationError`.
         """
+        # In-place service stops at the limit: the event path pops one
+        # event past it, then the check below raises.
+        self._until = min(limit, _FAR_FUTURE)
         step = self._step
         immediate = self._immediate  # stable deque; _near is reassigned
         while not event._triggered:

@@ -26,7 +26,11 @@ from repro.sim.engine import Environment, Event
 class Request(Event):
     """The event granted to a :class:`Resource` user; release via the resource."""
 
-    __slots__ = ()
+    __slots__ = ("_released",)
+
+    def __init__(self, env: Environment) -> None:
+        super().__init__(env)
+        self._released = False
 
 
 class Resource:
@@ -102,6 +106,12 @@ class Resource:
         """Return a previously granted slot, waking the next waiter if any."""
         if not request._triggered:
             raise SimulationError("cannot release a request that was never granted")
+        if request._released:
+            raise SimulationError("request was already released")
+        request._released = True
+        self._free_slot()
+
+    def _free_slot(self) -> None:
         now = self.env._now
         self._busy_slot_time += self._in_service * (now - self._last_change)
         self._last_change = now
@@ -114,12 +124,28 @@ class Resource:
     def serve(self, duration: float) -> Generator[Event, None, None]:
         """Acquire a slot, hold it for ``duration``, then release it.
 
-        Designed for ``yield from`` inside a process generator.
+        Designed for ``yield from`` inside a process generator.  The grant
+        and the service wait skip their events when each would be the very
+        next pop (:meth:`Environment._idle_through`); the outcome is the same.
         """
+        env = self.env
+        if self._in_service < self.capacity and not self._waiting and env._idle_through(env._now):
+            # request() without the grant event.
+            self._account()
+            self._in_service += 1
+            try:
+                end = env._now + duration
+                if env._idle_through(end):
+                    env._now = end
+                else:
+                    yield env.timeout(duration)
+            finally:
+                self._free_slot()
+            return
         grant = self.request()
         yield grant
         try:
-            yield self.env.timeout(duration)
+            yield env.timeout(duration)
         finally:
             self.release(grant)
 

@@ -31,6 +31,16 @@ def test_timeout_rejects_negative_delay():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), float("-inf")])
+def test_timeout_rejects_non_finite_delay_before_scheduling(delay):
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(delay)
+    assert env.queued_events == 0
+    # No sequence number was consumed: the next timeout gets the first.
+    assert env.timeout(1.0)._seq == 0
+
+
 def test_process_return_value_delivered_to_waiter():
     env = Environment()
 

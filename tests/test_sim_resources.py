@@ -73,6 +73,131 @@ def test_release_of_ungranted_request_rejected():
         resource.release(second)
 
 
+def test_second_release_rejected_without_waiters():
+    env = Environment()
+    resource = Resource(env, 1)
+    grant = resource.request()
+    resource.release(grant)
+    with pytest.raises(SimulationError):
+        resource.release(grant)
+    assert resource.in_service == 0
+
+
+def test_second_release_does_not_grant_a_second_waiter():
+    env = Environment()
+    resource = Resource(env, 1)
+    grant = resource.request()
+    first = resource.request()
+    second = resource.request()
+    resource.release(grant)
+    with pytest.raises(SimulationError):
+        resource.release(grant)
+    assert first.triggered
+    assert not second.triggered
+    assert resource.in_service == 1
+    assert resource.queue_length == 1
+
+
+def test_quiet_serve_queues_no_events():
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def server(env):
+        yield from resource.serve(3.0)
+        return env.now
+
+    process = env.process(server(env))
+    env.run()
+    assert process.value == 3.0
+    # Only the bootstrap and the completion pop: the grant and the
+    # service wait were resolved in place.
+    assert env.processed_events == 2
+    assert resource.busy_slot_us() == 3.0
+
+
+def test_serve_with_event_due_same_instant_takes_event_path():
+    env = Environment()
+    resource = Resource(env, 1)
+    order = []
+
+    def server(env):
+        yield env.timeout(5.0)
+        yield from resource.serve(3.0)
+        order.append(("served", env.now))
+
+    def bystander(env):
+        yield env.timeout(5.0)
+        order.append(("bystander", env.now))
+
+    env.process(server(env))
+    env.process(bystander(env))
+    env.run()
+    assert order == [("bystander", 5.0), ("served", 8.0)]
+    # Two bootstraps, two 5 us timeouts, two completions, plus the grant
+    # and the service timeout the bystander's pending timeout forced.
+    assert env.processed_events == 8
+
+
+def test_serve_ending_past_a_far_bucket_event_takes_event_path():
+    # 2 us buckets: when the server starts at t=1 its own bucket is
+    # drained, and the bystander's t=2 timeout sits in the bucket holding
+    # the service end (t=3), so only the bucket key can rule it out.
+    env = Environment(bucket_us=2.0)
+    resource = Resource(env, 1)
+    order = []
+
+    def server(env):
+        yield env.timeout(1.0)
+        yield from resource.serve(2.0)
+        order.append(("served", env.now))
+
+    def bystander(env):
+        yield env.timeout(2.0)
+        order.append(("bystander", env.now))
+
+    env.process(server(env))
+    env.process(bystander(env))
+    env.run()
+    assert order == [("bystander", 2.0), ("served", 3.0)]
+    # The grant is taken in place; the service wait still needs its event.
+    assert env.processed_events == 7
+
+
+def test_serve_crossing_until_finishes_on_next_run():
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def server(env):
+        yield from resource.serve(10.0)
+        return env.now
+
+    process = env.process(server(env))
+    env.run(until=4.0)
+    assert env.now == 4.0
+    assert process.is_alive
+    assert resource.in_service == 1
+    env.run()
+    assert process.value == 10.0
+    assert env.now == 10.0
+    assert resource.in_service == 0
+    assert resource.busy_slot_us() == 10.0
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_serve_rejects_bad_duration_without_moving_clock(duration):
+    env = Environment()
+    resource = Resource(env, 1)
+
+    def server(env):
+        yield from resource.serve(duration)
+
+    process = env.process(server(env))
+    with pytest.raises(SimulationError):
+        env.run_until_complete(process)
+    assert env.now == 0.0
+    assert resource.in_service == 0
+
+
 def test_busy_fraction_tracks_utilization():
     env = Environment()
     resource = Resource(env, 1)
