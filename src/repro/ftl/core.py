@@ -429,12 +429,7 @@ class FtlCore:
             if batch is None:
                 if self.personality.peek_flush() is not None:
                     # Partial batch aging: poll on the linger timer.
-                    yield self.env.any_of(
-                        [
-                            self._dirty.wait(),
-                            self.env.timeout(self.flush_linger_us),
-                        ]
-                    )
+                    yield self._dirty.wait(self.flush_linger_us)
                 else:
                     # Nothing queued: sleep until a write enqueues work.
                     # (Pure signal wait — idle pollers would otherwise
@@ -810,9 +805,7 @@ class FtlCore:
             elif len(self.pool) < self.gc_threshold_blocks:
                 yield from self._collect_once()
             else:
-                yield self.env.any_of(
-                    [self._gc_wakeup.wait(), self.env.timeout(2000.0)]
-                )
+                yield self._gc_wakeup.wait(2000.0)
 
     def _collect_once(self) -> Generator[Event, None, None]:
         victim = self.select_victim()

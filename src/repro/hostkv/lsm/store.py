@@ -350,9 +350,7 @@ class LSMStore:
     def _flush_worker(self) -> Generator[Event, None, None]:
         while True:
             if not self._immutables:
-                yield self.env.any_of(
-                    [self._dirty.wait(), self.env.timeout(2000.0)]
-                )
+                yield self._dirty.wait(2000.0)
                 continue
             immutable = self._immutables[0]
             entries = immutable.entries()
@@ -401,9 +399,7 @@ class LSMStore:
         while True:
             task = self._pending_compaction()
             if task is None:
-                yield self.env.any_of(
-                    [self._compact_wake.wait(), self.env.timeout(2000.0)]
-                )
+                yield self._compact_wake.wait(2000.0)
                 continue
             yield from self._run_compaction(task)
 

@@ -29,6 +29,7 @@ high fill collapse into foreground GC.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, Iterator, List, Optional, Tuple
@@ -192,6 +193,8 @@ class KVSSD:
         self.buffer = self.core.buffer
 
         self._records: Dict[bytes, _Record] = {}
+        #: Keys of ``_records`` by their 4-byte prefix (an ordered set).
+        self._by_prefix: Dict[bytes, Dict[bytes, None]] = {}
         self._populations: List[PrimedPopulation] = []
         self._manifests: Dict[int, List[tuple]] = {}
         self._pack_queue: Deque[_QueuedFragment] = deque()
@@ -303,6 +306,7 @@ class KVSSD:
             locations=[None] * len(layout.fragments),
         )
         self._records[key] = record
+        self._by_prefix.setdefault(key[:4], {})[key] = None
         self.stats.record_store(len(key), value_bytes, layout.footprint_bytes)
         for frag_index, nbytes in enumerate(layout.fragments):
             with span.phase("buffer"):
@@ -446,20 +450,20 @@ class KVSSD:
             keys_per_page = max(1, self.array.geometry.page_bytes // 64)
             for _ in range(ceil_div(max(count, 1), keys_per_page)):
                 yield from self.merge.index_page_read()
-        matches: List[bytes] = [
-            key for key in self._records if key[:4] == prefix4
-        ]
+        matches = list(self._by_prefix.get(prefix4, ()))
         for population in self._populations:
-            if population.scheme.key_for(0)[:4] != prefix4:
+            if population.scheme.prefix[:4] != prefix4:
                 continue
+            # A fill's keys share one width, so they sort in index order
+            # and its first ``limit`` live pairs are its smallest keys.
+            taken = 0
             for pair in range(population.count):
-                if len(matches) >= limit and count > limit:
+                if taken == limit:
                     break
-                if pair in population.overridden:
-                    continue
-                matches.append(population.scheme.key_for(pair))
-        matches.sort()
-        return matches[:limit]
+                if pair not in population.overridden:
+                    matches.append(population.scheme.key_for(pair))
+                    taken += 1
+        return heapq.nsmallest(limit, matches)
 
     # ------------------------------------------------------------------
     # invalidation
@@ -477,6 +481,7 @@ class KVSSD:
                 record.key_bytes, record.value_bytes, record.footprint_bytes
             )
             del self._records[key]
+            del self._by_prefix[key[:4]][key]
         else:
             population, index = payload
             block, _page = population.location_of(index)

@@ -27,8 +27,15 @@ def fast_fill(
     paper's setups).
     """
     scheme = scheme or KeyScheme()
-    if count < 1:
-        raise ConfigurationError(f"fill count must be >= 1, got {count}")
+    if not 1 <= count <= 10 ** scheme.digits:
+        raise ConfigurationError(
+            f"fill count must be in [1, 10**{scheme.digits}], got {count}"
+        )
+    if len(scheme.prefix) < 4:
+        # Every key of a fill is filed under one iterator bucket.
+        raise ConfigurationError(
+            f"fill key prefix must be >= 4 bytes, got {scheme.prefix!r}"
+        )
     for population in device._populations:
         if population.scheme.prefix == scheme.prefix:
             raise ConfigurationError(

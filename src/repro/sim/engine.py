@@ -375,7 +375,7 @@ class Environment:
         self._far_keys: List[int] = []
         #: End time of the current run; nothing may advance the clock past it.
         self._until = -_INF
-        #: Whether the event being processed has more than one callback.
+        #: Whether callbacks of the event being processed are still to run.
         self._shared = False
 
     @property
@@ -465,9 +465,10 @@ class Environment:
         """Whether an event queued now for time ``t`` would be the next pop.
 
         True when ``now <= t <= until`` of the current run, nothing is
-        immediate, the event being processed has no other callbacks, and
-        every queued entry fires after ``t`` (one at ``t`` has the lower
-        sequence number, so it would fire first).
+        immediate, no callback of the event being processed is still to
+        run after the current one, and every queued entry fires after
+        ``t`` (one at ``t`` has the lower sequence number, so it would
+        fire first).
         """
         if self._immediate or self._shared or not self._now <= t <= self._until:
             return False
@@ -513,9 +514,16 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, []
         event._processed = True
         self._processed_events += 1
-        self._shared = len(callbacks) > 1
-        for callback in callbacks:
-            callback(event)
+        if callbacks:
+            # _shared: callbacks of this event are still to run after the
+            # current one, so nothing may be served in place ahead of them.
+            last = callbacks.pop()
+            if callbacks:
+                self._shared = True
+                for callback in callbacks:
+                    callback(event)
+            self._shared = False
+            last(event)
 
     # -- execution -------------------------------------------------------
 

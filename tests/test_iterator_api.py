@@ -1,5 +1,7 @@
 """Tests for the prefix-iteration surface (SNIA iterators)."""
 
+import random
+
 import pytest
 
 from repro.core.experiment import build_kv_rig, lab_geometry
@@ -102,6 +104,72 @@ def test_iterate_cost_scales_with_bucket_size():
     small = run(rig, timed(rig.env, b"tiny"))
     large = run(rig, timed(rig.env, b"bigb"))
     assert large > small  # more bucket pages to walk
+
+
+def test_iterate_takes_primed_keys_sorting_below_stored_ones():
+    """Stored keys filling the limit must not hide smaller primed keys."""
+    rig = build_kv_rig(lab_geometry(4))
+    scheme = KeyScheme(prefix=b"many", digits=12)
+    rig.device.fast_fill(300, 64, scheme)
+    run(rig, rig.device.store(b"many999999999999", 64))
+    assert run(rig, rig.device.iterate(b"many", limit=1)) == [scheme.key_for(0)]
+    assert run(rig, rig.device.iterate(b"many", limit=2)) == [
+        scheme.key_for(0), scheme.key_for(1)]
+
+
+def test_fast_fill_rejects_schemes_iterate_cannot_order_or_file():
+    rig = build_kv_rig(lab_geometry(4))
+    with pytest.raises(ConfigurationError, match="fill count"):
+        rig.device.fast_fill(101, 64, KeyScheme(prefix=b"wide", digits=2))
+    with pytest.raises(ConfigurationError, match="prefix"):
+        rig.device.fast_fill(10, 64, KeyScheme(prefix=b"ma", digits=3))
+
+
+_FILL_SCHEMES = {
+    b"many": KeyScheme(prefix=b"many", digits=12),
+    b"mant": KeyScheme(prefix=b"mant", digits=12),
+    # Shares its first 4 bytes with stored keys of another width.
+    b"aaaa-": KeyScheme(prefix=b"aaaa-", digits=5),
+}
+_STORE_PREFIXES = [b"many", b"mant", b"aaaa"]
+_ITERATE_PREFIXES = [b"many", b"mant", b"aaaa", b"zzzz"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iterate_matches_brute_force_reference(seed):
+    """Random store/delete/fill mixes and limits: every iteration equals
+    the sorted live keys under the prefix, cut at the limit."""
+    rng = random.Random(seed)
+    rig = build_kv_rig(lab_geometry(4))
+    live = set()
+    unfilled = list(_FILL_SCHEMES)
+    touched = set()
+    for _ in range(120):
+        roll = rng.random()
+        fillable = [p for p in unfilled if p[:4] not in touched]
+        if roll < 0.08 and fillable:
+            prefix = rng.choice(fillable)
+            unfilled.remove(prefix)
+            scheme = _FILL_SCHEMES[prefix]
+            count = rng.randint(1, 200)
+            rig.device.fast_fill(count, 64, scheme)
+            live.update(scheme.key_for(i) for i in range(count))
+        elif roll < 0.6:
+            prefix = rng.choice(_STORE_PREFIXES)
+            touched.add(prefix)
+            index = rng.choice([rng.randrange(250), 999_999_999_999])
+            key = prefix + b"%012d" % index
+            run(rig, rig.device.store(key, 64))
+            live.add(key)
+        elif roll < 0.8 and live:
+            key = rng.choice(sorted(live))
+            run(rig, rig.device.delete(key))
+            live.discard(key)
+        else:
+            prefix = rng.choice(_ITERATE_PREFIXES)
+            limit = rng.choice([1, 2, 5, 40, 1024])
+            expected = sorted(k for k in live if k[:4] == prefix)[:limit]
+            assert run(rig, rig.device.iterate(prefix, limit=limit)) == expected
 
 
 # ---------------------------------------------------------------------------

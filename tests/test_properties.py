@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.block import BlockDeviceAPI
@@ -434,5 +434,146 @@ def test_in_place_serve_matches_event_path(model):
     """
     observed, events = _run_model(Resource, model)
     reference, reference_events = _run_model(ReferenceResource, model)
+    assert observed == reference
+    assert events <= reference_events
+
+
+# -- shared signal events ----------------------------------------------------------
+
+
+class ReferenceSignal:
+    """One event per waiter; a timed wait is ``any_of([wait, timeout])``."""
+
+    def __init__(self, env):
+        self.env = env
+        self._waiters = []  # (waiter event, any_of or None)
+
+    @property
+    def waiting(self):
+        # A timed wait whose any_of fired before any notify timed out.
+        return sum(1 for _waiter, timed in self._waiters
+                   if timed is None or not timed.triggered)
+
+    def wait(self, timeout=None):
+        waiter = self.env.event()
+        timed = None
+        if timeout is not None:
+            timed = self.env.any_of([waiter, self.env.timeout(timeout)])
+        self._waiters.append((waiter, timed))
+        return waiter if timed is None else timed
+
+    def notify_all(self):
+        waiters, self._waiters = self._waiters, []
+        for waiter, _timed in waiters:
+            waiter.succeed(None)
+
+
+_SIGNAL_STEP = st.one_of(
+    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("timed"), st.integers(min_value=0, max_value=1), _HALF_US),
+    st.tuples(st.just("sleep"), _HALF_US),
+    st.tuples(st.just("notify"), st.integers(min_value=0, max_value=1)),
+    # Schedules an event that takes a zero-delay hop before it records,
+    # so it lands between, or after, wakeups due at its instant.
+    st.tuples(st.just("bystander"), _HALF_US),
+    st.tuples(st.just("serve"), _HALF_US),
+    st.tuples(st.just("gate"), st.integers(min_value=0, max_value=1)),
+)
+
+_SIGNAL_MODEL = st.fixed_dictionaries({
+    "bucket_us": st.sampled_from([0.5, 2.0, 64.0]),
+    "gates": st.lists(_HALF_US, min_size=2, max_size=2),
+    # Processes share a few programs: those a gate releases together run
+    # in lockstep, arming their waits at one instant, as flush workers do.
+    "programs": st.lists(st.lists(_SIGNAL_STEP, max_size=6),
+                         min_size=1, max_size=3),
+    "processes": st.lists(
+        st.tuples(st.sampled_from([None, 0, 1]),
+                  st.integers(min_value=0, max_value=2)),
+        min_size=1, max_size=6),
+    "slices": st.lists(st.integers(min_value=0, max_value=16).map(lambda q: q * 0.5),
+                       max_size=3),
+})
+
+
+def _run_signal_model(signal_cls, model):
+    """Run a random signal model; return everything it can observe."""
+    env = Environment(bucket_us=model["bucket_us"])
+    signals = [signal_cls(env), signal_cls(env)]
+    resource = Resource(env)
+    gates = [env.timeout(delay) for delay in model["gates"]]
+    trace = []
+
+    def record(pid, step):
+        trace.append((pid, env.now, step, [s.waiting for s in signals]))
+
+    def bystander(pid, index, delay):
+        def hop(_event):
+            env.timeout(0).callbacks.append(lambda _e: record(pid, ("by", index)))
+        env.timeout(delay).callbacks.append(hop)
+
+    def proc(pid, start, steps):
+        if start is not None:
+            yield gates[start]
+        for index, step in enumerate(steps):
+            kind = step[0]
+            if kind == "wait":
+                yield signals[step[1]].wait()
+            elif kind == "timed":
+                yield signals[step[1]].wait(step[2])
+            elif kind == "sleep":
+                yield env.timeout(step[1])
+            elif kind == "notify":
+                signals[step[1]].notify_all()
+            elif kind == "bystander":
+                bystander(pid, index, step[1])
+            elif kind == "serve":
+                yield from resource.serve(step[1])
+            else:
+                yield gates[step[1]]
+            record(pid, index)
+
+    programs = model["programs"]
+    for pid, (start, program) in enumerate(model["processes"]):
+        env.process(proc(pid, start, programs[program % len(programs)]))
+    clocks = []
+    for until in sorted(model["slices"]):
+        env.run(until=until)
+        clocks.append(env.now)
+    env.run()
+    return (trace, clocks, env.now), env.processed_events
+
+
+def _lockstep_model(programs, processes):
+    return {"bucket_us": 64.0, "gates": [0.0, 0.0], "programs": programs,
+            "processes": processes, "slices": []}
+
+
+@given(_SIGNAL_MODEL)
+@settings(max_examples=300, deadline=None)
+# One model per sharing guard, each failing without it: different
+# deadlines; an event scheduled between two arms; a plain wait armed
+# between two timed waits that a notify then wakes.
+@example(_lockstep_model([[("timed", 0, 1.0)], [("timed", 0, 2.0)]],
+                         [(0, 0), (0, 1)]))
+@example(_lockstep_model([[("bystander", 1.0), ("timed", 0, 1.0)]],
+                         [(0, 0), (0, 0)]))
+@example(_lockstep_model(
+    [[("timed", 0, 1.0)], [("wait", 0), ("sleep", 0.0)],
+     [("sleep", 0.5), ("notify", 0)]],
+    [(0, 0), (0, 1), (0, 0), (None, 2)]))
+def test_shared_signal_events_match_one_event_per_waiter(model):
+    """``Signal``'s shared notify event and shared timed waits are exact:
+    any model runs as it does with one event per waiter and ``any_of``
+    timed waits.
+
+    The models mix plain and timed waits on two signals, equal and
+    different timeouts armed at one instant (processes a gate releases
+    together), bystander events scheduled between arms, notifies at a
+    timer's instant, in-place serves, ``run(until)`` slices, and
+    calendar buckets narrower and wider than the delays.
+    """
+    observed, events = _run_signal_model(Signal, model)
+    reference, reference_events = _run_signal_model(ReferenceSignal, model)
     assert observed == reference
     assert events <= reference_events

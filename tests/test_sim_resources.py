@@ -459,3 +459,148 @@ def test_signal_waiter_parked_during_notify_waits_for_next_round():
     env.run()
     assert wake_times == [10.0]
     assert signal.waiting == 0
+
+
+def test_signal_waiting_counts_waits_not_woken_or_timed_out():
+    env = Environment()
+    signal = Signal(env)
+    seen = []
+
+    def plain(env):
+        yield signal.wait()
+
+    def timed(env, timeout):
+        yield signal.wait(timeout)
+
+    def observer(env):
+        seen.append(signal.waiting)
+        yield env.timeout(1.0)
+        seen.append(signal.waiting)  # the 1.0 wait timed out
+        yield env.timeout(1.0)
+        seen.append(signal.waiting)  # so did the 2.0 wait
+        signal.notify_all()
+        seen.append(signal.waiting)
+
+    env.process(plain(env))
+    env.process(timed(env, 1.0))
+    env.process(timed(env, 2.0))
+    env.process(timed(env, 5.0))
+    env.run(until=0.5)
+    env.process(observer(env))
+    env.run()
+    assert seen == [4, 3, 2, 0]
+
+
+def test_signal_timed_wait_fires_at_first_of_notify_and_timeout():
+    env = Environment()
+    signal = Signal(env)
+    woken = []
+
+    def timed(env, tag, timeout):
+        value = yield signal.wait(timeout)
+        woken.append((tag, env.now, value))
+
+    def notifier(env):
+        yield env.timeout(3.0)
+        signal.notify_all()
+
+    env.process(timed(env, "short", 1.0))
+    env.process(timed(env, "long", 10.0))
+    env.process(notifier(env))
+    env.run()
+    assert woken == [("short", 1.0, None), ("long", 3.0, None)]
+    assert env.now == 10.0  # the cleared timer still pops, doing nothing
+
+
+def test_signal_timer_due_with_a_notify_wins():
+    """A notify at the timer's instant, from an event queued before the
+    timer, still loses: the timer fires first in (time, sequence) order,
+    exactly as it does for ``any_of([wait(), timeout()])``."""
+    env = Environment()
+    signal = Signal(env)
+    order = []
+    env.timeout(2.0).callbacks.append(lambda _event: signal.notify_all())
+
+    def timed(env):
+        yield signal.wait(2.0)
+        order.append(("timed", signal.waiting))
+
+    def plain(env):
+        yield signal.wait()
+        order.append(("plain", signal.waiting))
+
+    env.process(timed(env))
+    env.process(plain(env))
+    env.run()
+    assert order == [("plain", 0), ("timed", 0)]
+
+
+def test_signal_notify_is_one_pop_for_all_plain_waiters():
+    env = Environment()
+    signal = Signal(env)
+
+    def plain(env):
+        yield signal.wait()
+
+    for _ in range(5):
+        env.process(plain(env))
+    env.run()
+    before = env.processed_events
+    signal.notify_all()
+    env.run()
+    # One signal pop resumes all five; their completions pop once each.
+    assert env.processed_events - before == 1 + 5
+
+
+def test_signal_timed_waits_armed_together_share_one_timer():
+    env = Environment()
+    signal = Signal(env)
+    gate = env.timeout(1.0)
+    woken = []
+
+    def timed(env, tag, timeout):
+        yield gate
+        yield signal.wait(timeout)
+        woken.append((tag, env.now))
+
+    for tag in "abc":
+        env.process(timed(env, tag, 2.0))
+    env.process(timed(env, "d", 4.0))
+    env.run()
+    assert woken == [("a", 3.0), ("b", 3.0), ("c", 3.0), ("d", 5.0)]
+    # 4 bootstraps + gate + 2 timers + 2 wake events + 4 completions.
+    assert env.processed_events == 4 + 1 + 2 + 2 + 4
+
+
+def test_signal_timed_waits_split_by_a_bystander_or_a_plain_wait():
+    """Waits armed at one instant with one deadline still get their own
+    timer when another event was scheduled, or another wait armed, in
+    between; they wake at the same time in arming order either way."""
+    env = Environment()
+    signal = Signal(env)
+    gate = env.timeout(1.0)
+    woken = []
+
+    def timed(env, tag):
+        yield gate
+        yield signal.wait(2.0)
+        woken.append((tag, env.now))
+
+    def bystander(env):
+        yield gate
+        env.timeout(5.0)
+
+    def plain(env):
+        yield gate
+        yield signal.wait()
+
+    env.process(timed(env, "a"))
+    env.process(bystander(env))
+    env.process(timed(env, "b"))
+    env.process(plain(env))
+    env.process(timed(env, "c"))
+    env.run()
+    assert woken == [("a", 3.0), ("b", 3.0), ("c", 3.0)]
+    # 5 bootstraps + gate + 3 timers + 3 wake events + bystander timer
+    # + 4 completions (the plain waiter never wakes).
+    assert env.processed_events == 5 + 1 + 3 + 3 + 1 + 4
